@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json [path]]\n"
-                   "  LQCD_SIMD_BACKEND=scalar|avx2|avx512 restricts the "
+                   "  LQCD_SIMD_BACKEND=scalar|avx2 restricts the "
                    "measured backends\n",
                    argv[0]);
       return 1;
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   std::vector<BackendResults> all;
   for (const simd::Backend b : backends) all.push_back(run_backend(b, smoke));
 
-  Table t({"kernel", "metric", "scalar", "avx2", "avx512"});
+  Table t({"kernel", "metric", "scalar", "avx2"});
   const char* names[] = {"su3_mul_nn",   "su3_mul_lanes", "dslash_lanes",
                          "clover_lanes", "block_solve",   "fp16_roundtrip"};
   for (const char* name : names) {
@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
                              : "Gflop/s";
     t.row().cell(name).cell(metric);
     for (const simd::Backend b :
-         {simd::Backend::kScalar, simd::Backend::kAvx2,
-          simd::Backend::kAvx512}) {
+         {simd::Backend::kScalar, simd::Backend::kAvx2}) {
       bool found = false;
       for (const auto& br : all)
         if (br.backend == b)

@@ -9,9 +9,9 @@
 
 namespace lqcd {
 
-/// Alignment used for all field allocations. 64 bytes matches both the
-/// KNC cache line / vector register width the paper targets and AVX-512
-/// hosts; it is harmless (and still cache-line aligned) elsewhere.
+/// Alignment used for all field allocations. 64 bytes matches the KNC
+/// cache line / vector register width the paper targets and is one full
+/// cache line on x86 hosts.
 inline constexpr std::size_t kFieldAlignment = 64;
 
 /// Minimal C++17 aligned allocator so std::vector storage can be handed
@@ -66,7 +66,7 @@ using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 /// Expands to `#pragma omp simd` when OpenMP is enabled; otherwise to
 /// nothing (plain `#pragma omp` would trip -Wunknown-pragmas under
 /// -Werror on non-OpenMP builds).
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
 #define LQCD_PRAGMA_SIMD _Pragma("omp simd")
 #else
 #define LQCD_PRAGMA_SIMD

@@ -12,7 +12,7 @@
 
 #include "lqcd/linalg/fermion_field.h"
 
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
 #include <omp.h>
 #endif
 

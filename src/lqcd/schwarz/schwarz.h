@@ -34,7 +34,7 @@
 #include "lqcd/solver/linear_operator.h"
 #include "lqcd/solver/mr.h"
 
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
 #include <omp.h>
 #endif
 
@@ -73,13 +73,6 @@ struct SchwarzParams {
   /// be a DIFFERENT injector instance from domain_fault_injector (two
   /// live scopes must not share one pre-drawn budget); nullptr = off.
   FaultInjector* packed_fault_injector = nullptr;
-  /// Process batched domain visits with the SOA-over-RHS lane kernels
-  /// (paper Sec. VI): each packed matrix element is loaded once and
-  /// applied to every RHS of the batch from registers, with lane-wise MR
-  /// scalars and lane masking for converged RHS. When false — or for
-  /// nrhs == 1, which must stay bit-identical to apply() — each RHS runs
-  /// the scalar block solve in sequence.
-  bool lane_vectorized = true;
 };
 
 struct SchwarzStats {
@@ -677,7 +670,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// parallel region.
   void ensure_scratch() {
     int nthreads = 1;
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
     nthreads = omp_get_max_threads();
 #endif
     if (static_cast<int>(scratch_.size()) >= nthreads) return;
@@ -779,12 +772,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     packed_scope.merge();
 
     for (auto& sc : scratch_) {
-      stats_.block_solves += sc.stats.block_solves;
-      stats_.mr_iterations += sc.stats.mr_iterations;
-      stats_.flops += sc.stats.flops;
-      stats_.boundary_bytes += sc.stats.boundary_bytes;
-      stats_.matrix_block_loads += sc.stats.matrix_block_loads;
-      stats_.injected_faults += sc.stats.injected_faults;
+      stats_ += sc.stats;
       sc.stats.reset();
     }
   }
@@ -1120,20 +1108,19 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   }
 
   /// One domain visit: stream the packed matrices once, apply them to
-  /// every RHS of the batch. Batches of more than one RHS take the
-  /// lane-vectorized SOA-over-RHS path unless params.lane_vectorized is
-  /// off; nrhs == 1 always runs the scalar solve (bit-identical contract
-  /// with apply()).
+  /// every RHS of the batch. A single RHS runs the scalar per-site solve
+  /// (so apply_batch of one RHS is bit-identical to apply()); batches of
+  /// two or more take the lane-vectorized SOA-over-RHS path
+  /// (paper Sec. VI): each packed matrix element is loaded once and
+  /// applied to every RHS lane, with lane-wise MR scalars and lane
+  /// masking for converged RHS.
   void solve_domain_batch(int d, int nrhs, FermionField<float>* const* u,
                           Scratch& sc) {
     ++sc.stats.matrix_block_loads;
-    if (nrhs == 1 || !params_.lane_vectorized) {
-      for (int b = 0; b < nrhs; ++b)
-        solve_domain(d, *u[b], r_batch_[static_cast<std::size_t>(b)],
-                     buffer_slot(b, d), sc);
-      return;
-    }
-    solve_domain_lanes(d, nrhs, u, sc);
+    if (nrhs == 1)
+      solve_domain(d, *u[0], r_batch_[0], buffer_slot(0, d), sc);
+    else
+      solve_domain_lanes(d, nrhs, u, sc);
   }
 
   // -------------------------------------------------------------------------
@@ -1143,7 +1130,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   // matrix element (link or clover block) ONCE, and applies it to all RHS
   // lanes with unit-stride inner loops over the lane index. The lane
   // arithmetic itself lives behind the runtime SIMD dispatch
-  // (simd/dispatch.h): scalar, AVX2 or AVX-512 at the backend's choosing,
+  // (simd/dispatch.h): scalar or AVX2 at the backend's choosing,
   // with the dispatch contract guaranteeing the instrumented counters
   // charge exactly nrhs times the scalar work in every backend (MR
   // iterations and axpy flops are charged per still-active lane, and lane
@@ -1419,7 +1406,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     shared(list, n, nrhs, u, visit_base)
     for (std::int64_t i = 0; i < n; ++i) {
       int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
       tid = omp_get_thread_num();
 #endif
       visit_domain(list[static_cast<std::size_t>(i)], nrhs, u, tid,
@@ -1434,7 +1421,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     shared(n, nrhs, u, visit_base)
     for (std::int64_t i = 0; i < n; ++i) {
       int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
       tid = omp_get_thread_num();
 #endif
       visit_domain(static_cast<int>(i), nrhs, u, tid, visit_base + i);

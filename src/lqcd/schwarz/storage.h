@@ -139,7 +139,7 @@ std::uint32_t packed_checksum(const S* data, std::size_t count) noexcept {
 /// Unit-stride SIMD quantum of the RHS lane dimension. 4 floats (128 bit)
 /// keeps padding waste at <= 3 lanes for any nrhs; lane loops run over the
 /// full padded count, so compilers are free to fuse consecutive groups
-/// into wider (AVX2/AVX-512) vectors when available.
+/// into wider (AVX2) vectors when available.
 inline constexpr int kRhsSimdWidth = 4;
 
 constexpr int padded_rhs_lanes(int nrhs) noexcept {

@@ -1,10 +1,10 @@
 // AVX2+FMA+F16C implementations of the dispatched kernels.
 //
-// INTERNAL to src/lqcd/simd/: included by backend_avx2.cpp (and by
-// backend_avx512.cpp for the kernels it does not widen). Compiles to real
-// code only when the translation unit has AVX2, FMA and F16C enabled;
-// otherwise the backend reports "not compiled" and dispatch never lands
-// here.
+// INTERNAL to src/lqcd/simd/: included only by backend_avx2.cpp, the one
+// wide backend (dispatch picks it over scalar whenever the CPU has AVX2,
+// FMA and F16C). Compiles to real code only when the translation unit has
+// those instruction sets enabled; otherwise the backend reports "not
+// compiled" and dispatch never lands here.
 //
 // Numerics: su3_mul_nn / su3_mul_lanes / phase_madd / xpay use separate
 // mul+add in exactly the scalar accumulation order (j = 0, 1, 2), so they

@@ -9,6 +9,5 @@ namespace lqcd::simd::detail {
 
 const Kernels* scalar_table() noexcept;  // never nullptr
 const Kernels* avx2_table() noexcept;
-const Kernels* avx512_table() noexcept;
 
 }  // namespace lqcd::simd::detail

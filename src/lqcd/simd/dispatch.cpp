@@ -15,34 +15,17 @@ namespace lqcd::simd {
 namespace {
 
 const Kernels* table_for(Backend b) noexcept {
-  switch (b) {
-    case Backend::kScalar:
-      return detail::scalar_table();
-    case Backend::kAvx2:
-      return detail::avx2_table();
-    case Backend::kAvx512:
-    default:
-      return detail::avx512_table();
-  }
+  return b == Backend::kScalar ? detail::scalar_table()
+                               : detail::avx2_table();
 }
 
 bool cpu_supports(Backend b) noexcept {
+  if (b == Backend::kScalar) return true;
 #if defined(__x86_64__) || defined(__i386__)
-  switch (b) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-             __builtin_cpu_supports("f16c");
-    case Backend::kAvx512:
-    default:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512dq");
-  }
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("f16c");
 #else
-  return b == Backend::kScalar;
+  return false;
 #endif
 }
 
@@ -70,24 +53,15 @@ const Kernels* resolve_initial() {
 }  // namespace
 
 const char* to_string(Backend b) noexcept {
-  switch (b) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kAvx512:
-    default:
-      return "avx512";
-  }
+  return b == Backend::kScalar ? "scalar" : "avx2";
 }
 
 Backend parse_backend(std::string_view name) {
   if (name == "scalar") return Backend::kScalar;
   if (name == "avx2") return Backend::kAvx2;
-  if (name == "avx512") return Backend::kAvx512;
   LQCD_CHECK_MSG(false, "unknown SIMD backend \"" << std::string(name)
                                                   << "\" (expected "
-                                                     "scalar|avx2|avx512)");
+                                                     "scalar|avx2)");
   // Unreachable; LQCD_CHECK_MSG throws.
   return Backend::kScalar;
 }
@@ -100,16 +74,14 @@ bool backend_supported(Backend b) noexcept {
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (const Backend b :
-       {Backend::kAvx512, Backend::kAvx2, Backend::kScalar})
+  for (const Backend b : {Backend::kAvx2, Backend::kScalar})
     if (backend_supported(b)) out.push_back(b);
   return out;
 }
 
 Backend detect_backend() noexcept {
-  if (backend_supported(Backend::kAvx512)) return Backend::kAvx512;
-  if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
-  return Backend::kScalar;
+  return backend_supported(Backend::kAvx2) ? Backend::kAvx2
+                                           : Backend::kScalar;
 }
 
 std::optional<Backend> backend_from_env() {

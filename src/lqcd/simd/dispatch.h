@@ -3,13 +3,13 @@
 //
 // The paper's performance rests on hand-vectorized kernels (Sec. VI); on
 // host hardware we provide the same split explicitly: a portable scalar
-// path (the reference semantics, autovectorized via LQCD_PRAGMA_SIMD), an
-// AVX2+FMA+F16C backend, and an AVX-512 backend. One of them is selected
-// at runtime by CPUID, overridable with the LQCD_SIMD_BACKEND environment
-// variable ("scalar" | "avx2" | "avx512") or programmatically with
-// force_backend(). Kernel code includes ONLY this header (enforced by
-// tools/lqcd_lint.py): concrete backends live in src/lqcd/simd/*.cpp and
-// are reached through the function-pointer table below.
+// path (the reference semantics, autovectorized via LQCD_PRAGMA_SIMD) and
+// one wide AVX2+FMA+F16C backend. CPUID picks avx2 when the CPU has it
+// and scalar otherwise; the LQCD_SIMD_BACKEND environment variable
+// ("scalar" | "avx2") or force_backend() overrides the choice. Kernel
+// code includes ONLY this header (enforced by tools/lqcd_lint.py): the
+// concrete backends live in src/lqcd/simd/*.cpp and are reached through
+// the function-pointer table below.
 //
 // Numerical contract (tested in tests/test_simd.cpp):
 //   - su3_mul_nn, su3_mul_lanes, project/reconstruct and xpay are
@@ -18,7 +18,7 @@
 //     backend translation units (-ffp-contract=off) and the intrinsic
 //     paths use separate mul/add.
 //   - clover_pair_lanes and the MR reductions MAY use FMA in the wide
-//     backends; they agree with scalar to <= 1e-6 relative.
+//     backend; they agree with scalar to <= 1e-6 relative.
 //   - float_to_half_n / half_to_float_n are bit-identical everywhere
 //     (F16C round-to-nearest-even matches the software converter exactly,
 //     including saturate-to-inf overflow and NaN quieting).
@@ -36,8 +36,7 @@
 
 namespace lqcd::simd {
 
-enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-inline constexpr int kNumBackends = 3;
+enum class Backend : int { kScalar = 0, kAvx2 = 1 };
 
 /// The dispatched kernel table. All lane kernels take the SOA-over-RHS
 /// layout of schwarz/storage.h: a "lane vector" is `lanes` contiguous
@@ -90,13 +89,13 @@ struct Kernels {
                         std::int64_t ncomplex, int lanes,
                         const float* alpha_re, const float* alpha_im);
 
-  /// Array binary16 conversions (F16C in the wide backends, the software
+  /// Array binary16 conversions (F16C in the wide backend, the software
   /// converter of linalg/fp16.cpp otherwise). Bit-identical everywhere.
   void (*float_to_half_n)(const float* src, Half* dst, std::int64_t n);
   void (*half_to_float_n)(const Half* src, float* dst, std::int64_t n);
 };
 
-/// Canonical lower-case backend name ("scalar" | "avx2" | "avx512").
+/// Canonical lower-case backend name ("scalar" | "avx2").
 const char* to_string(Backend b) noexcept;
 
 /// Parse a backend name; throws lqcd::Error on anything unknown.
@@ -112,7 +111,7 @@ bool backend_supported(Backend b) noexcept;
 /// All backends usable on this machine, best (widest) first.
 std::vector<Backend> available_backends();
 
-/// CPUID selection: avx512 if supported, else avx2, else scalar.
+/// CPUID selection: avx2 if supported, else scalar.
 Backend detect_backend() noexcept;
 
 /// Reads LQCD_SIMD_BACKEND now. Empty/unset -> nullopt. Throws

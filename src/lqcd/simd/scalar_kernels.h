@@ -1,8 +1,8 @@
 // Portable reference implementations of the dispatched kernels.
 //
 // INTERNAL to src/lqcd/simd/: backend_scalar.cpp exposes these as the
-// scalar table, and the AVX2/AVX-512 backends reuse them for loop tails so
-// every tail is bit-identical to the scalar path. All translation units
+// scalar table, and the AVX2 backend reuses them for loop tails so every
+// tail is bit-identical to the scalar path. All translation units
 // that include this header are compiled with -ffp-contract=off, which
 // (together with the fixed accumulation order below) pins the scalar
 // results bit-for-bit across compilers and -march levels: without

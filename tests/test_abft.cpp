@@ -23,7 +23,7 @@
 #include "lqcd/resilience/resilient_solve.h"
 #include "lqcd/schwarz/schwarz.h"
 
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
 #include <omp.h>
 #endif
 
@@ -31,7 +31,7 @@ namespace lqcd {
 namespace {
 
 void set_threads(int n) {
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
   omp_set_num_threads(n);
 #else
   (void)n;

@@ -156,13 +156,39 @@ TEST(LaneMR, MasksZeroLaneAndFreezesItsVectors) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: lane-vectorized batched apply vs the scalar per-RHS path.
+// Lane-vectorized batched apply vs per-RHS apply().
 // ---------------------------------------------------------------------------
 
 /// The lane path reorders no arithmetic; the only divergence from the
 /// scalar path is compiler-level FMA contraction / vectorization of the
 /// unit-stride lane loops, so the match is tight (DESIGN.md Sec. 8).
 constexpr double kLaneTolerance = 1e-5;
+
+/// Runs `ref.apply()` once per source into `u`: the scalar per-site
+/// reference the lane path is held to.
+void apply_each(SchwarzPreconditioner<float>& ref,
+                const std::vector<FermionField<float>>& ff,
+                std::vector<FermionField<float>>& u) {
+  for (std::size_t i = 0; i < ff.size(); ++i) {
+    u[i] = FermionField<float>(ff[i].size());
+    ref.apply(ff[i], u[i]);
+  }
+}
+
+/// Counter contract between one lane batch of `nrhs` RHS and `nrhs`
+/// per-RHS apply() calls: identical per-RHS work; the reference runs
+/// nrhs times the sweeps and so streams nrhs times the matrices.
+void expect_counter_parity(const SchwarzStats& lane, const SchwarzStats& ref,
+                           int nrhs) {
+  EXPECT_EQ(lane.applications, ref.applications) << "nrhs " << nrhs;
+  EXPECT_EQ(nrhs * lane.sweeps, ref.sweeps) << "nrhs " << nrhs;
+  EXPECT_EQ(nrhs * lane.matrix_block_loads, ref.matrix_block_loads)
+      << "nrhs " << nrhs;
+  EXPECT_EQ(lane.block_solves, ref.block_solves) << "nrhs " << nrhs;
+  EXPECT_EQ(lane.mr_iterations, ref.mr_iterations) << "nrhs " << nrhs;
+  EXPECT_EQ(lane.boundary_bytes, ref.boundary_bytes) << "nrhs " << nrhs;
+  EXPECT_EQ(lane.flops, ref.flops) << "nrhs " << nrhs;
+}
 
 TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
   SchwarzFixture f;
@@ -171,26 +197,23 @@ TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
     p.schwarz_iterations = 2;
     p.block_mr_iterations = 3;
     SchwarzPreconditioner<float> lane(f.part, f.op, p);
-    p.lane_vectorized = false;
     SchwarzPreconditioner<float> scalar(f.part, f.op, p);
 
     std::vector<FermionField<float>> ff(static_cast<std::size_t>(nrhs)),
         u_lane(static_cast<std::size_t>(nrhs)),
         u_scalar(static_cast<std::size_t>(nrhs));
     std::vector<const FermionField<float>*> fp;
-    std::vector<FermionField<float>*> lp, sp;
+    std::vector<FermionField<float>*> lp;
     for (int i = 0; i < nrhs; ++i) {
       const auto ii = static_cast<std::size_t>(i);
       ff[ii] = FermionField<float>(f.geom.volume());
       u_lane[ii] = FermionField<float>(f.geom.volume());
-      u_scalar[ii] = FermionField<float>(f.geom.volume());
       gaussian(ff[ii], static_cast<std::uint64_t>(140 + i));
       fp.push_back(&ff[ii]);
       lp.push_back(&u_lane[ii]);
-      sp.push_back(&u_scalar[ii]);
     }
     lane.apply_batch(fp, lp);
-    scalar.apply_batch(fp, sp);
+    apply_each(scalar, ff, u_scalar);
 
     for (int i = 0; i < nrhs; ++i)
       EXPECT_LT(rel_field_diff(u_scalar[static_cast<std::size_t>(i)],
@@ -199,28 +222,17 @@ TEST(LaneBatch, MatchesScalarPathWithinToleranceAndCounterExactly) {
           << "nrhs " << nrhs << " RHS " << i;
 
     // The instrumented counters are a hard contract, not a tolerance:
-    // same matrix loads (once per domain visit), same per-RHS work.
-    const auto& sl = lane.stats();
-    const auto& ss = scalar.stats();
-    EXPECT_EQ(sl.applications, ss.applications) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.sweeps, ss.sweeps) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.matrix_block_loads, ss.matrix_block_loads)
-        << "nrhs " << nrhs;
-    EXPECT_EQ(sl.block_solves, ss.block_solves) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.mr_iterations, ss.mr_iterations) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.boundary_bytes, ss.boundary_bytes) << "nrhs " << nrhs;
-    EXPECT_EQ(sl.flops, ss.flops) << "nrhs " << nrhs;
+    // same per-RHS work, one matrix load per domain visit.
+    expect_counter_parity(lane.stats(), scalar.stats(), nrhs);
   }
 }
 
 TEST(LaneBatch, BatchOfOneRoutesThroughScalarPathBitIdentically) {
-  // nrhs == 1 must stay bit-identical to apply() even with
-  // lane_vectorized on (the dispatch contract).
+  // nrhs == 1 must stay bit-identical to apply() (the dispatch contract).
   SchwarzFixture f;
   SchwarzParams p;
   p.schwarz_iterations = 2;
   p.block_mr_iterations = 3;
-  ASSERT_TRUE(p.lane_vectorized);
   SchwarzPreconditioner<float> m(f.part, f.op, p);
 
   FermionField<float> b(f.geom.volume()), u1(f.geom.volume()),
@@ -239,31 +251,28 @@ TEST(LaneBatch, ConvergedLaneIsMaskedWithScalarCounterParity) {
   // iteration of every domain visit while the others keep iterating. The
   // lane path must (a) leave its correction exactly zero — the masked
   // lane is frozen, not polluted by its active neighbors — and (b) charge
-  // mr_iterations exactly as the scalar per-RHS path does.
+  // mr_iterations exactly as per-RHS apply() does.
   SchwarzFixture f;
   SchwarzParams p;
   p.schwarz_iterations = 2;
   p.block_mr_iterations = 4;
   SchwarzPreconditioner<float> lane(f.part, f.op, p);
-  p.lane_vectorized = false;
   SchwarzPreconditioner<float> scalar(f.part, f.op, p);
 
   const int nrhs = 3;
   std::vector<FermionField<float>> ff(nrhs), u_lane(nrhs), u_scalar(nrhs);
   std::vector<const FermionField<float>*> fp;
-  std::vector<FermionField<float>*> lp, sp;
+  std::vector<FermionField<float>*> lp;
   for (int i = 0; i < nrhs; ++i) {
     const auto ii = static_cast<std::size_t>(i);
     ff[ii] = FermionField<float>(f.geom.volume());
     u_lane[ii] = FermionField<float>(f.geom.volume());
-    u_scalar[ii] = FermionField<float>(f.geom.volume());
     if (i != 1) gaussian(ff[ii], static_cast<std::uint64_t>(160 + i));
     fp.push_back(&ff[ii]);
     lp.push_back(&u_lane[ii]);
-    sp.push_back(&u_scalar[ii]);
   }
   lane.apply_batch(fp, lp);
-  scalar.apply_batch(fp, sp);
+  apply_each(scalar, ff, u_scalar);
 
   // The zero RHS yields an exactly-zero correction on both paths.
   double unorm2 = 0;
@@ -273,8 +282,7 @@ TEST(LaneBatch, ConvergedLaneIsMaskedWithScalarCounterParity) {
 
   // Counter parity: the masked lane stops counting MR iterations after
   // its breakdown iteration, exactly like the scalar `break`.
-  EXPECT_EQ(lane.stats().mr_iterations, scalar.stats().mr_iterations);
-  EXPECT_EQ(lane.stats().flops, scalar.stats().flops);
+  expect_counter_parity(lane.stats(), scalar.stats(), nrhs);
   EXPECT_LT(lane.stats().mr_iterations,
             static_cast<std::int64_t>(nrhs) * lane.stats().sweeps *
                 f.part.num_domains() * p.block_mr_iterations)

@@ -14,7 +14,7 @@
 #include "lqcd/tile/tiled_dslash.h"
 #include "lqcd/vnode/collectives.h"
 
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
 #include <omp.h>
 #endif
 
@@ -22,7 +22,7 @@ namespace lqcd {
 namespace {
 
 void set_threads(int n) {
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
   omp_set_num_threads(n);
 #else
   (void)n;
@@ -30,7 +30,7 @@ void set_threads(int n) {
 }
 
 int max_threads() {
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
   return omp_get_max_threads();
 #else
   return 1;
@@ -241,7 +241,7 @@ TEST(ParallelFaultScope, ShardMergeIsThreadCountInvariant) {
     shared(scope, data, kKeys, kRow)
       for (std::int64_t k = 0; k < kKeys; ++k) {
         int tid = 0;
-#if defined(LQCD_HAVE_OPENMP)
+#if defined(_OPENMP)
         tid = omp_get_thread_num();
 #endif
         scope.maybe_corrupt_reals(tid, k, data.data() + k * kRow, kRow);

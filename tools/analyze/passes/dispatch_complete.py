@@ -2,9 +2,9 @@
 
 The runtime-dispatch contract (simd/dispatch.h) hangs every hot kernel
 off a function-pointer field of `struct Kernels`, and every backend TU
-(backend_scalar.cpp, backend_avx2.cpp, backend_avx512.cpp) fills the
-table with positional aggregate initialization. C++ value-initializes
-missing trailing aggregate members — so adding a field to Kernels
+(backend_scalar.cpp, backend_avx2.cpp) fills the table with positional
+aggregate initialization. C++ value-initializes missing trailing
+aggregate members — so adding a field to Kernels
 without extending every backend initializer compiles cleanly and
 produces a nullptr kernel slot that segfaults on first dispatch of one
 backend only. This pass parses the struct's field list (in declaration

@@ -3,7 +3,7 @@ build-flag AND expression level.
 
 The cross-backend contract (simd/dispatch.h) says the lane kernels —
 su3_mul_nn, su3_mul_lanes, project/reconstruct, xpay, the fp16
-converters — are BIT-IDENTICAL across scalar/avx2/avx512, which only
+converters — are BIT-IDENTICAL across scalar and avx2, which only
 holds if (a) every TU that compiles them does so with -ffp-contract=off
 and no fast-math family flag, and (b) no kernel on the bit-exact list
 uses an explicit FMA (std::fma / _mm*_fmadd_*), since separate

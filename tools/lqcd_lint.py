@@ -7,7 +7,9 @@ Enforces invariants no generic tool knows about (see DESIGN.md
   pragma-once          every header under src/ starts with #pragma once.
   include-exists       every #include "lqcd/..." resolves under src/.
   omp-include-guard    #include <omp.h> only inside an
-                       `#if defined(LQCD_HAVE_OPENMP)` block.
+                       `#if defined(_OPENMP)` block (the compiler's own
+                       macro, so no build-system define can disagree
+                       with -fopenmp).
   naked-alloc          no naked new/delete/malloc/free in src/ — buffers
                        go through base/aligned.h or std containers.
   simd-opaque-call     LQCD_PRAGMA_SIMD loop bodies must stay
@@ -36,9 +38,9 @@ Enforces invariants no generic tool knows about (see DESIGN.md
                        not a compile-time include choice.
   simd-ci-leg-check    every LQCD_SIMD_BACKEND value forced by a ci.yml
                        leg names a backend known to dispatch.cpp, and
-                       the scalar and avx2 backends each have a forcing
-                       leg — so no dispatch backend can silently drop
-                       out of CI.
+                       every backend dispatch.cpp recognises has a
+                       forcing leg — so no dispatch backend can become
+                       a default without ever being pinned in CI.
   analyze-ci-job-check ci.yml keeps an `analyze` job that runs the
                        semantic tier (tools/analyze) — the deep
                        callgraph/lock/FP checks cannot be silently
@@ -181,22 +183,20 @@ def check_includes(findings: list[Finding]) -> None:
 
 
 def check_omp_guard(findings: list[Finding]) -> None:
+    guard_re = re.compile(r"\b_OPENMP\b")
     for path in iter_source(("*.h", "*.cpp")):
         lines = strip_comments(path.read_text()).splitlines()
-        depth_omp = 0
+        depth_omp = 0  # #if nesting depth counted from the _OPENMP guard
         for ln, line in enumerate(lines, 1):
             s = line.strip()
-            if s.startswith("#if") :
-                depth_omp += 1 if "LQCD_HAVE_OPENMP" in s or depth_omp else 0
-                # Track nesting only once inside an OpenMP guard.
-                if "LQCD_HAVE_OPENMP" in s and depth_omp == 0:
-                    depth_omp = 1
+            if s.startswith("#if") and (depth_omp or guard_re.search(s)):
+                depth_omp += 1
             elif s.startswith("#endif") and depth_omp:
                 depth_omp -= 1
             if "<omp.h>" in s and not depth_omp:
                 findings.append(Finding(
                     "omp-include-guard", path, ln,
-                    "#include <omp.h> outside #if defined(LQCD_HAVE_OPENMP)"))
+                    "#include <omp.h> outside #if defined(_OPENMP)"))
 
 
 def check_naked_alloc(findings: list[Finding]) -> None:
@@ -364,8 +364,13 @@ def check_simd_ci_legs(findings: list[Finding]) -> None:
     dispatch = SRC / "lqcd" / "simd" / "dispatch.cpp"
     if not ci.exists() or not dispatch.exists():
         return
-    known = set(re.findall(r'if\s*\(name\s*==\s*"([a-z0-9]+)"\)\s*return\s+'
-                           r'Backend::', dispatch.read_text()))
+    parse_re = re.compile(
+        r'if\s*\(name\s*==\s*"([a-z0-9]+)"\)\s*return\s+Backend::')
+    known: dict[str, int] = {}  # backend name -> dispatch.cpp line
+    for ln, line in enumerate(dispatch.read_text().splitlines(), 1):
+        m = parse_re.search(line)
+        if m:
+            known.setdefault(m.group(1), ln)
     forced: set[str] = set()
     env_re = re.compile(r"LQCD_SIMD_BACKEND\s*[:=]\s*['\"]?([a-z0-9_.{$ }]+)")
     for ln, line in enumerate(ci.read_text().splitlines(), 1):
@@ -397,13 +402,14 @@ def check_simd_ci_legs(findings: list[Finding]) -> None:
                     f"ci.yml simd matrix lists backend '{value}', which "
                     "dispatch.cpp does not recognise (known: "
                     f"{', '.join(sorted(known))})"))
-    for backend in ("scalar", "avx2"):
-        if backend in known and backend not in forced:
+    for backend, ln in sorted(known.items()):
+        if backend not in forced:
             findings.append(Finding(
-                "simd-ci-leg-check", ci, 1,
-                f"no ci.yml leg forces LQCD_SIMD_BACKEND={backend} — "
-                "every universally-runnable backend needs a pinned CI "
-                "leg (avx2 legs may skip-with-notice on old runners)"))
+                "simd-ci-leg-check", dispatch, ln,
+                f"dispatch.cpp recognises backend '{backend}' but no "
+                f"ci.yml leg forces LQCD_SIMD_BACKEND={backend} — every "
+                "backend needs a pinned CI leg (legs may skip-with-notice "
+                "on runners that lack the instruction set)"))
 
 
 def check_analyze_ci_job(findings: list[Finding]) -> None:
