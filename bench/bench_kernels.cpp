@@ -55,6 +55,8 @@ BackendResults run_backend(simd::Backend b, bool smoke) {
   add("clover_lanes", "gflops", m, m.gflops());
   m = bench::measure_block_solve(4, smoke ? 0.05 : 0.5);
   add("block_solve", "gflops", m, m.gflops());
+  m = bench::measure_block_solve<Half>(1, smoke ? 0.05 : 0.5);
+  add("block_solve_half", "gflops", m, m.gflops());
   m = bench::measure_fp16_roundtrip(smoke ? 1 << 15 : 1 << 20, w);
   add("fp16_roundtrip", "gbs", m, m.gbs());
   return out;
@@ -134,8 +136,10 @@ int main(int argc, char** argv) {
   for (const simd::Backend b : backends) all.push_back(run_backend(b, smoke));
 
   Table t({"kernel", "metric", "scalar", "avx2"});
-  const char* names[] = {"su3_mul_nn",   "su3_mul_lanes", "dslash_lanes",
-                         "clover_lanes", "block_solve",   "fp16_roundtrip"};
+  const char* names[] = {"su3_mul_nn",       "su3_mul_lanes",
+                         "dslash_lanes",     "clover_lanes",
+                         "block_solve",      "block_solve_half",
+                         "fp16_roundtrip"};
   for (const char* name : names) {
     const char* metric = std::strcmp(name, "fp16_roundtrip") == 0
                              ? "GB/s"

@@ -189,10 +189,13 @@ inline KernelMeasurement measure_fp16_roundtrip(std::int64_t n,
   return m;
 }
 
-/// The full lane-vectorized Schwarz block solve (gathers, halos, MR) on a
-/// small fixture; flops come from the instrumented SchwarzStats counters,
-/// which are backend-invariant by the dispatch contract.
-inline KernelMeasurement measure_block_solve(int nrhs, double min_seconds) {
+/// The full Schwarz block solve (gathers, halos, MR) on a small fixture,
+/// with matrices stored in S (float or Half): nrhs >= 2 runs the
+/// lane-vectorized path, nrhs = 1 the production single-RHS path. Flops
+/// come from the instrumented SchwarzStats counters, which are
+/// backend-invariant by the dispatch contract.
+template <class S = float>
+KernelMeasurement measure_block_solve(int nrhs, double min_seconds) {
   Geometry geom({8, 8, 8, 8});
   Checkerboard cb(geom);
   auto gauge = convert<float>(random_gauge_field<double>(geom, 0.5, 151));
@@ -202,7 +205,7 @@ inline KernelMeasurement measure_block_solve(int nrhs, double min_seconds) {
   SchwarzParams p;
   p.schwarz_iterations = 1;
   p.block_mr_iterations = 5;
-  SchwarzPreconditioner<float> m_pre(part, op, p);
+  SchwarzPreconditioner<S> m_pre(part, op, p);
 
   std::vector<FermionField<float>> ff(static_cast<std::size_t>(nrhs));
   std::vector<FermionField<float>> uu(static_cast<std::size_t>(nrhs));

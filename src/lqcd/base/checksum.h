@@ -11,9 +11,12 @@
 // reduced mod 65535; an odd trailing byte is zero-padded. Position
 // sensitivity (the second sum) catches transpositions as well as
 // single-bit flips, at a cost of two adds per word — cheap enough to run
-// at pack/message granularity.
+// at pack/message granularity. The reduction is deferred: the sums grow
+// unreduced in 32 bits and take a true `% 65535` every kMaxUnreduced
+// words and at value(), which gives the per-word reduced result exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,9 +36,21 @@ class Fletcher32 {
       have_pending_ = false;
       i = 1;
     }
-    for (; i + 1 < bytes; i += 2)
-      accumulate(static_cast<std::uint16_t>(
-          p[i] | (static_cast<std::uint16_t>(p[i + 1]) << 8)));
+    while (i + 1 < bytes) {
+      const std::size_t words =
+          std::min((bytes - i) / 2, kMaxUnreduced - unreduced_);
+      std::uint32_t a = sum1_;
+      std::uint32_t b = sum2_;
+      for (std::size_t k = 0; k < words; ++k, i += 2) {
+        a += static_cast<std::uint32_t>(p[i]) |
+             (static_cast<std::uint32_t>(p[i + 1]) << 8);
+        b += a;
+      }
+      sum1_ = a;
+      sum2_ = b;
+      unreduced_ += words;
+      if (unreduced_ == kMaxUnreduced) reduce();
+    }
     if (i < bytes) {
       pending_ = p[i];
       have_pending_ = true;
@@ -43,8 +58,8 @@ class Fletcher32 {
   }
 
   std::uint32_t value() const noexcept {
-    std::uint32_t a = sum1_;
-    std::uint32_t b = sum2_;
+    std::uint32_t a = sum1_ % 65535u;
+    std::uint32_t b = sum2_ % 65535u;
     if (have_pending_) {
       a = (a + pending_) % 65535u;
       b = (b + a) % 65535u;
@@ -55,13 +70,26 @@ class Fletcher32 {
   void reset() noexcept { *this = Fletcher32{}; }
 
  private:
+  /// Longest run of words the unreduced sums absorb without overflowing
+  /// 32 bits when both start below 65535: after n words
+  /// sum2 <= 65534 (n + 1) + 65535 n (n + 1) / 2, which fits for n = 359.
+  static constexpr std::size_t kMaxUnreduced = 359;
+
   void accumulate(std::uint16_t w) noexcept {
-    sum1_ = (sum1_ + w) % 65535u;
-    sum2_ = (sum2_ + sum1_) % 65535u;
+    sum1_ += w;
+    sum2_ += sum1_;
+    if (++unreduced_ == kMaxUnreduced) reduce();
+  }
+
+  void reduce() noexcept {
+    sum1_ %= 65535u;
+    sum2_ %= 65535u;
+    unreduced_ = 0;
   }
 
   std::uint32_t sum1_ = 0;
   std::uint32_t sum2_ = 0;
+  std::size_t unreduced_ = 0;  ///< words added since the last reduce()
   std::uint16_t pending_ = 0;
   bool have_pending_ = false;
 };

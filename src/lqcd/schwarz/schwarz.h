@@ -18,11 +18,15 @@
 //    reconstructs. In a multi-node run these same buffers are what is
 //    handed to MPI (Sec. III-A, III-E).
 //  * Gauge links and clover blocks are stored in storage scalar S — float
-//    or Half — while all arithmetic is float (Sec. III-B).
+//    or Half — while all arithmetic is float (Sec. III-B). Each domain
+//    visit decodes its packed block once into per-thread float scratch,
+//    as the paper streams it into L2 once per visit and reuses it across
+//    all Idomain MR iterations; no decoded copy outlives the visit.
 #pragma once
 
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "lqcd/dirac/wilson_clover.h"
@@ -84,8 +88,9 @@ struct SchwarzStats {
   std::int64_t injected_faults = 0;     ///< faults the hook fired in sweeps
   std::int64_t precision_fallbacks = 0; ///< half->single retries (adapter)
   /// Times a domain's packed gauge+clover block was streamed from its
-  /// backing storage. Charged once per domain VISIT — a batched sweep
-  /// loads the matrices once and applies them to every RHS — so
+  /// backing storage (and, for Half storage, decoded to float). Charged
+  /// once per domain VISIT — every block-solve read of the visit comes
+  /// from that one load, for every RHS of a batched sweep — so
   /// matrix_block_loads per sweep is independent of the batch width
   /// while block_solves scales with it (paper Sec. VI).
   std::int64_t matrix_block_loads = 0;
@@ -525,8 +530,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         hops_per_parity_(setup_->hops_per_parity()) {
     LQCD_CHECK(setup_ != nullptr);
     // Resolve the SIMD dispatch table now: a bad LQCD_SIMD_BACKEND fails
-    // at construction, not mid-solve (and not never, on paths that stay
-    // off the dispatched lane kernels, e.g. single-RHS solve_domain).
+    // at construction, not at the first domain visit inside a parallel
+    // sweep (a Half-storage visit decodes its matrices through the table,
+    // and the lane path runs all of its arithmetic there).
     simd::kernels();
     buffers_.resize(static_cast<std::size_t>(part_->num_domains()) *
                     static_cast<std::size_t>(buffer_stride_));
@@ -629,9 +635,43 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   }
 
  private:
+  /// Float view of one domain's packed matrices for the duration of a
+  /// visit, in the setup's per-domain layout: links [local][mu][18],
+  /// diag_e [even local][chi][36], inv_o [odd local][chi][36].
+  struct DomainMatrices {
+    const float* links = nullptr;
+    const float* diag_e = nullptr;
+    const float* inv_o = nullptr;
+
+    const float* link(std::int32_t l, int mu) const noexcept {
+      return links + (static_cast<std::size_t>(l) * kNumDims +
+                      static_cast<std::size_t>(mu)) *
+                         kSU3Reals;
+    }
+    PackedHermitian6<float> diag_block(std::int32_t le,
+                                       int chi) const noexcept {
+      return load_block(diag_e + (static_cast<std::size_t>(le) * 2 +
+                                  static_cast<std::size_t>(chi)) *
+                                     kCloverBlockReals);
+    }
+    PackedHermitian6<float> inv_block(std::int32_t lo,
+                                      int chi) const noexcept {
+      return load_block(inv_o + (static_cast<std::size_t>(lo) * 2 +
+                                 static_cast<std::size_t>(chi)) *
+                                    kCloverBlockReals);
+    }
+  };
+
   struct Scratch {
     FermionField<float> r_loc, z, rhs_e, mr_r, mr_ar, t1_o, t2_o;
     SchwarzStats stats;  // merged into stats_ at the end of apply()
+
+    // The visited domain's matrices. For Half storage they point into the
+    // decode buffers below (one domain's worth, allocated on the first
+    // visit and overwritten by every visit); for float storage straight
+    // into the setup.
+    DomainMatrices mat;
+    AlignedVector<float> links_f, diag_e_f, inv_o_f;
 
     // Lane-vectorized (SOA-over-RHS) working set, allocated lazily on the
     // first batched domain visit and reused until the batch width changes.
@@ -801,18 +841,33 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     return static_cast<std::int64_t>(b) * part_->num_domains() + d;
   }
 
-  // Packed-array accessors: thin forwarders into the shared setup so the
-  // kernel bodies below read exactly as they did when the arrays were
-  // members.
-  const S* link_ptr(int d, std::int32_t l, int mu) const noexcept {
-    return setup_->link_ptr(d, l, mu);
+  /// Stream domain d's packed matrices once for this visit and point
+  /// sc.mat at their float form: Half storage is decoded into the
+  /// thread's scratch through the dispatched converter, float storage is
+  /// read in place. Nothing is cached across visits — the next visit
+  /// re-reads the packed store, so between-sweeps corruption and the ABFT
+  /// repair ladder always act on what the block solve sees.
+  void load_domain_matrices(int d, Scratch& sc) const {
+    const auto n_links = static_cast<std::int64_t>(part_->domain_volume()) *
+                         kNumDims * kSU3Reals;
+    const auto n_clover =
+        static_cast<std::int64_t>(part_->domain_half_volume()) * 2 *
+        kCloverBlockReals;
+    if constexpr (!std::is_same_v<S, float>) {
+      if (sc.links_f.empty()) {
+        sc.links_f.resize(static_cast<std::size_t>(n_links));
+        sc.diag_e_f.resize(static_cast<std::size_t>(n_clover));
+        sc.inv_o_f.resize(static_cast<std::size_t>(n_clover));
+      }
+    }
+    sc.mat.links =
+        decode_packed(setup_->link_ptr(d, 0, 0), n_links, sc.links_f.data());
+    sc.mat.diag_e = decode_packed(setup_->diag_e_ptr(d, 0, 0), n_clover,
+                                  sc.diag_e_f.data());
+    sc.mat.inv_o = decode_packed(setup_->inv_o_ptr(d, 0, 0), n_clover,
+                                 sc.inv_o_f.data());
   }
-  const S* diag_e_ptr(int d, std::int32_t le, int chi) const noexcept {
-    return setup_->diag_e_ptr(d, le, chi);
-  }
-  const S* inv_o_ptr(int d, std::int32_t lo, int chi) const noexcept {
-    return setup_->inv_o_ptr(d, lo, chi);
-  }
+
   float* buffer_ptr(std::int64_t slot, int mu, Dir dir) noexcept {
     return buffers_.data() + static_cast<std::size_t>(slot) *
                                  static_cast<std::size_t>(buffer_stride_) +
@@ -841,7 +896,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// dropped): out = D_{out_parity, 1-out_parity} in. Both fields are
   /// half-volume, indexed by the parity-local index (even local l for
   /// parity 0, l - hv for parity 1).
-  void local_dslash_impl(int d, int out_parity, const FermionField<float>& in,
+  void local_dslash_impl(const DomainMatrices& m, int out_parity,
+                         const FermionField<float>& in,
                          FermionField<float>& out) const {
     const std::int32_t hv = part_->domain_half_volume();
     const std::int32_t l0 = out_parity == 0 ? 0 : hv;
@@ -854,34 +910,32 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
         if (lf >= 0) {
           const HalfSpinor<float> h = project(in[lf - in_off], mu, -1);
-          reconstruct_add(acc, mul(load_su3(link_ptr(d, l, mu)), h), mu, -1);
+          reconstruct_add(acc, mul(load_su3(m.link(l, mu)), h), mu, -1);
         }
         const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
         if (lb >= 0) {
           const HalfSpinor<float> h = project(in[lb - in_off], mu, +1);
-          reconstruct_add(acc, mul_adj(load_su3(link_ptr(d, lb, mu)), h), mu,
-                          +1);
+          reconstruct_add(acc, mul_adj(load_su3(m.link(lb, mu)), h), mu, +1);
         }
       }
       out[i] = acc;
     }
   }
 
-  /// out_e = Dtilde_ee in_e within domain d (Dirichlet boundaries).
-  void local_schur(int d, const FermionField<float>& in_e,
-                   FermionField<float>& out_e, Scratch& sc) const {
+  /// out_e = Dtilde_ee in_e within the visited domain (Dirichlet
+  /// boundaries), reading its matrices from sc.mat.
+  void local_schur(const FermionField<float>& in_e, FermionField<float>& out_e,
+                   Scratch& sc) const {
     const std::int32_t hv = part_->domain_half_volume();
-    local_dslash_impl(d, 1, in_e, sc.t1_o);  // D_oe in_e
-    for (std::int32_t lo = 0; lo < hv; ++lo) {
-      apply_block_pair(
-          load_block(inv_o_ptr(d, lo, 0)),
-          load_block(inv_o_ptr(d, lo, 1)), sc.t1_o[lo], sc.t2_o[lo]);
-    }
-    local_dslash_impl(d, 0, sc.t2_o, out_e);  // D_eo A_oo^-1 D_oe in_e
+    const DomainMatrices& m = sc.mat;
+    local_dslash_impl(m, 1, in_e, sc.t1_o);  // D_oe in_e
+    for (std::int32_t lo = 0; lo < hv; ++lo)
+      apply_block_pair(m.inv_block(lo, 0), m.inv_block(lo, 1), sc.t1_o[lo],
+                       sc.t2_o[lo]);
+    local_dslash_impl(m, 0, sc.t2_o, out_e);  // D_eo A_oo^-1 D_oe in_e
     for (std::int32_t le = 0; le < hv; ++le) {
       Spinor<float> diag;
-      apply_block_pair(load_block(diag_e_ptr(d, le, 0)),
-                       load_block(diag_e_ptr(d, le, 1)), in_e[le],
+      apply_block_pair(m.diag_block(le, 0), m.diag_block(le, 1), in_e[le],
                        diag);
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
@@ -912,6 +966,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
                     std::int64_t slot, Scratch& sc) {
     const std::int32_t vd = part_->domain_volume();
     const std::int32_t hv = part_->domain_half_volume();
+    const DomainMatrices& m = sc.mat;
 
     // Gather the residual (optionally through fp16 spinor storage).
     for (std::int32_t l = 0; l < vd; ++l) {
@@ -921,10 +976,9 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
 
     // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o.
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                       load_block(inv_o_ptr(d, lo, 1)),
+      apply_block_pair(m.inv_block(lo, 0), m.inv_block(lo, 1),
                        sc.r_loc[hv + lo], sc.t1_o[lo]);
-    local_dslash_impl(d, 0, sc.t1_o, sc.rhs_e);
+    local_dslash_impl(m, 0, sc.t1_o, sc.rhs_e);
     for (std::int32_t le = 0; le < hv; ++le)
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
@@ -937,7 +991,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     for (std::int32_t le = 0; le < hv; ++le) z[le].zero();
     copy_range(sc.rhs_e, sc.mr_r, hv);
     for (int it = 0; it < params_.block_mr_iterations; ++it) {
-      local_schur(d, sc.mr_r, sc.mr_ar, sc);
+      local_schur(sc.mr_r, sc.mr_ar, sc);
       double arr_re = 0, arr_im = 0, arar = 0;
       for (std::int32_t le = 0; le < hv; ++le)
         for (int sp = 0; sp < kNumSpins; ++sp)
@@ -966,15 +1020,14 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    local_dslash_impl(d, 1, z /* even half */, sc.t1_o);
+    local_dslash_impl(m, 1, z /* even half */, sc.t1_o);
     for (std::int32_t lo = 0; lo < hv; ++lo) {
       Spinor<float> rhs_o;
       for (int sp = 0; sp < kNumSpins; ++sp)
         for (int c = 0; c < kNumColors; ++c)
           rhs_o.s[sp].c[c] = sc.r_loc[hv + lo].s[sp].c[c] +
                              0.5f * sc.t1_o[lo].s[sp].c[c];
-      apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                       load_block(inv_o_ptr(d, lo, 1)), rhs_o,
+      apply_block_pair(m.inv_block(lo, 0), m.inv_block(lo, 1), rhs_o,
                        z[hv + lo]);
     }
     sc.stats.flops += 168 * hops_per_parity_ + hv * (504 + 24);
@@ -994,7 +1047,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
       }
     }
 
-    pack_boundaries(d, slot, z, sc.stats);
+    pack_boundaries(m, slot, z, sc.stats);
     ++sc.stats.block_solves;
   }
 
@@ -1007,8 +1060,8 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// buffers (paper Fig. 3). Forward faces are link-multiplied by the
   /// producer (it owns U_mu(x)); backward faces are packed raw and
   /// link-multiplied by the consumer.
-  void pack_boundaries(int d, std::int64_t slot, const FermionField<float>& z,
-                       SchwarzStats& stats) {
+  void pack_boundaries(const DomainMatrices& m, std::int64_t slot,
+                       const FermionField<float>& z, SchwarzStats& stats) {
     for (int mu = 0; mu < kNumDims; ++mu) {
       const auto mu_s = static_cast<std::size_t>(mu);
       {
@@ -1017,7 +1070,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         for (std::size_t i = 0; i < face.size(); ++i) {
           const std::int32_t l = face[i];
           const HalfSpinor<float> h =
-              mul_adj(load_su3(link_ptr(d, l, mu)), project(z[l], mu, +1));
+              mul_adj(load_su3(m.link(l, mu)), project(z[l], mu, +1));
           write_halfspinor(h, buf + i * 12);
         }
         stats.boundary_bytes +=
@@ -1091,8 +1144,11 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         for (std::size_t i = 0; i < partners.size(); ++i) {
           const HalfSpinor<float> raw = read_halfspinor(buf + i * 12);
           const std::int32_t pl = partners[i];
-          const HalfSpinor<float> h =
-              mul(load_su3(link_ptr(nd, pl, mu)), raw);
+          float link[kSU3Reals];
+          const HalfSpinor<float> h = mul(
+              load_su3(decode_packed(setup_->link_ptr(nd, pl, mu), kSU3Reals,
+                                     link)),
+              raw);
           const std::int32_t g = part_->global_site(nd, pl);
           Spinor<float> add;
           add.zero();
@@ -1107,15 +1163,16 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
   }
 
-  /// One domain visit: stream the packed matrices once, apply them to
-  /// every RHS of the batch. A single RHS runs the scalar per-site solve
-  /// (so apply_batch of one RHS is bit-identical to apply()); batches of
+  /// One domain visit: stream (and decode) the packed matrices once, apply
+  /// them to every RHS of the batch. A single RHS runs the scalar per-site
+  /// solve (so apply_batch of one RHS is bit-identical to apply()); batches of
   /// two or more take the lane-vectorized SOA-over-RHS path
   /// (paper Sec. VI): each packed matrix element is loaded once and
   /// applied to every RHS lane, with lane-wise MR scalars and lane
   /// masking for converged RHS.
   void solve_domain_batch(int d, int nrhs, FermionField<float>* const* u,
                           Scratch& sc) {
+    load_domain_matrices(d, sc);
     ++sc.stats.matrix_block_loads;
     if (nrhs == 1)
       solve_domain(d, *u[0], r_batch_[0], buffer_slot(0, d), sc);
@@ -1126,7 +1183,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   // -------------------------------------------------------------------------
   // Lane-vectorized block solve (SOA-over-RHS, paper Sec. VI).
   //
-  // Every kernel below walks the domain site by site, loads each packed
+  // Every kernel below walks the domain site by site, reads each decoded
   // matrix element (link or clover block) ONCE, and applies it to all RHS
   // lanes with unit-stride inner loops over the lane index. The lane
   // arithmetic itself lives behind the runtime SIMD dispatch
@@ -1151,11 +1208,12 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     simd::kernels().reconstruct_add_lanes(acc_site, h, mu, sign, lanes);
   }
 
-  /// y = U x (or U^dagger x) on half-spinor lane vectors: the link is
-  /// loaded once and applied to every lane.
-  static void lane_su3_mul(const SU3<float>& u, const float* x, float* y,
+  /// y = U x (or U^dagger x) on half-spinor lane vectors: the link (18
+  /// decoded floats in store_su3 order, row-major (re, im) interleaved)
+  /// is applied to every lane.
+  static void lane_su3_mul(const float* u, const float* x, float* y,
                            int lanes, bool adjoint) {
-    simd::kernels().su3_mul_lanes(flat(u), x, y, lanes, adjoint ? 1 : 0);
+    simd::kernels().su3_mul_lanes(u, x, y, lanes, adjoint ? 1 : 0);
   }
 
   /// Apply the two chirality clover blocks at a site to the spinor lane
@@ -1171,7 +1229,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   /// applied to all lanes, each link loaded once per hop. `in` is indexed
   /// by the parity-local convention of the scalar path (even fields by
   /// local site < hv, odd fields by l - hv).
-  void lane_dslash(int d, int out_parity, const BlockSpinorLanes& in,
+  void lane_dslash(int out_parity, const BlockSpinorLanes& in,
                    BlockSpinorLanes& out, Scratch& sc) {
     const std::int32_t hv = part_->domain_half_volume();
     const std::int32_t l0 = out_parity == 0 ? 0 : hv;
@@ -1189,13 +1247,13 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         const std::int32_t lf = part_->local_neighbor(l, mu, Dir::kForward);
         if (lf >= 0) {
           lane_project(in.lane_vec(lf - in_off, 0), mu, -1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, l, mu)), h1, h2, L, false);
+          lane_su3_mul(sc.mat.link(l, mu), h1, h2, L, false);
           lane_reconstruct_add(acc, h2, mu, -1, L);
         }
         const std::int32_t lb = part_->local_neighbor(l, mu, Dir::kBackward);
         if (lb >= 0) {
           lane_project(in.lane_vec(lb - in_off, 0), mu, +1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, lb, mu)), h1, h2, L, true);
+          lane_su3_mul(sc.mat.link(lb, mu), h1, h2, L, true);
           lane_reconstruct_add(acc, h2, mu, +1, L);
         }
       }
@@ -1203,20 +1261,19 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
   }
 
   /// Lane version of local_schur: out_e = Dtilde_ee in_e for all lanes.
-  void lane_schur(int d, const BlockSpinorLanes& in_e, BlockSpinorLanes& out_e,
+  void lane_schur(const BlockSpinorLanes& in_e, BlockSpinorLanes& out_e,
                   Scratch& sc) {
     const std::int32_t hv = part_->domain_half_volume();
     const int L = in_e.lanes();
-    lane_dslash(d, 1, in_e, sc.t1_lanes, sc);
+    const DomainMatrices& m = sc.mat;
+    lane_dslash(1, in_e, sc.t1_lanes, sc);
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)),
+      lane_apply_block_pair(m.inv_block(lo, 0), m.inv_block(lo, 1),
                             sc.t1_lanes.lane_vec(lo, 0),
                             sc.t2_lanes.lane_vec(lo, 0), L);
-    lane_dslash(d, 0, sc.t2_lanes, out_e, sc);
+    lane_dslash(0, sc.t2_lanes, out_e, sc);
     for (std::int32_t le = 0; le < hv; ++le) {
-      lane_apply_block_pair(load_block(diag_e_ptr(d, le, 0)),
-                            load_block(diag_e_ptr(d, le, 1)),
+      lane_apply_block_pair(m.diag_block(le, 0), m.diag_block(le, 1),
                             in_e.lane_vec(le, 0), sc.s24.data(), L);
       float* o = out_e.lane_vec(le, 0);
       const float* diag = sc.s24.data();
@@ -1249,11 +1306,10 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
 
     // Schur RHS: rhs_e = r_e + 1/2 D_eo A_oo^-1 r_o, all lanes at once.
     for (std::int32_t lo = 0; lo < hv; ++lo)
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)),
+      lane_apply_block_pair(sc.mat.inv_block(lo, 0), sc.mat.inv_block(lo, 1),
                             sc.r_lanes.lane_vec(hv + lo, 0),
                             sc.t1_lanes.lane_vec(lo, 0), L);
-    lane_dslash(d, 0, sc.t1_lanes, sc.rhs_e_lanes, sc);
+    lane_dslash(0, sc.t1_lanes, sc.rhs_e_lanes, sc);
     for (std::int32_t le = 0; le < hv; ++le) {
       const float* rv = sc.r_lanes.lane_vec(le, 0);
       float* ev = sc.rhs_e_lanes.lane_vec(le, 0);
@@ -1276,7 +1332,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     for (int it = 0; it < params_.block_mr_iterations; ++it) {
       const int active_before = sc.mr_state.num_active();
       if (active_before == 0) break;
-      lane_schur(d, sc.mr_r_lanes, sc.mr_ar_lanes, sc);
+      lane_schur(sc.mr_r_lanes, sc.mr_ar_lanes, sc);
       lane_mr_dots(sc.mr_r_lanes.data(), sc.mr_ar_lanes.data(), ncplx, L,
                    sc.mr_state);
       sc.stats.mr_iterations += active_before;
@@ -1289,15 +1345,14 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
     }
 
     // Odd reconstruction: z_o = A_oo^-1 (r_o + 1/2 D_oe z_e).
-    lane_dslash(d, 1, sc.z_lanes, sc.t1_lanes, sc);
+    lane_dslash(1, sc.z_lanes, sc.t1_lanes, sc);
     for (std::int32_t lo = 0; lo < hv; ++lo) {
       const float* rv = sc.r_lanes.lane_vec(hv + lo, 0);
       const float* tv = sc.t1_lanes.lane_vec(lo, 0);
       float* rhs_o = sc.s24.data();
       simd::kernels().xpay_lanes(rv, 0.5f, tv, rhs_o, kSpinorReals * L);
-      lane_apply_block_pair(load_block(inv_o_ptr(d, lo, 0)),
-                            load_block(inv_o_ptr(d, lo, 1)), rhs_o,
-                            sc.z_lanes.lane_vec(hv + lo, 0), L);
+      lane_apply_block_pair(sc.mat.inv_block(lo, 0), sc.mat.inv_block(lo, 1),
+                            rhs_o, sc.z_lanes.lane_vec(hv + lo, 0), L);
     }
     sc.stats.flops += nb * (168 * hops_per_parity_ + hv * (504 + 24));
 
@@ -1350,7 +1405,7 @@ class SchwarzPreconditioner final : public BatchPreconditioner<float>,
         for (std::size_t i = 0; i < face.size(); ++i) {
           const std::int32_t l = face[i];
           lane_project(sc.z_lanes.lane_vec(l, 0), mu, +1, h1, L);
-          lane_su3_mul(load_su3(link_ptr(d, l, mu)), h1, h2, L, true);
+          lane_su3_mul(sc.mat.link(l, mu), h1, h2, L, true);
           for (int b = 0; b < nrhs; ++b) {
             float* buf =
                 buffer_ptr(buffer_slot(b, d), mu, Dir::kForward) + i * 12;

@@ -6,10 +6,12 @@
 // keep the same layout so the KNC cache model can reason about it.
 //
 // The storage scalar S is either float or Half (IEEE binary16). Matrices
-// are down-converted on store and up-converted on load while all
-// arithmetic stays in float — modelling the KNC's load/store up/down
-// conversion exactly (Sec. III-B: links and clover shrink from 144 kB to
-// 72 kB per 8x4^3 domain).
+// are down-converted on store; all arithmetic stays in float (Sec. III-B:
+// links and clover shrink from 144 kB to 72 kB per 8x4^3 domain). Where
+// the KNC up-converts each operand on load, a Schwarz domain visit decodes
+// the domain's whole packed block once into per-thread float scratch with
+// the runtime-dispatched array converter, and every block-solve read comes
+// from that copy; float storage is read in place.
 #pragma once
 
 #include <algorithm>
@@ -29,14 +31,12 @@ struct StorageTraits;
 template <>
 struct StorageTraits<float> {
   static constexpr const char* name() noexcept { return "single"; }
-  static float load(float v) noexcept { return v; }
   static float store(float v) noexcept { return v; }
 };
 
 template <>
 struct StorageTraits<Half> {
   static constexpr const char* name() noexcept { return "half"; }
-  static float load(Half v) noexcept { return half_to_float(v); }
   static Half store(float v) noexcept { return float_to_half(v); }
 };
 
@@ -54,14 +54,14 @@ void store_su3(const SU3<float>& u, S* dst) noexcept {
     }
 }
 
-template <class S>
-SU3<float> load_su3(const S* src) noexcept {
+/// SU(3) matrix from 18 decoded (float) scalars in store_su3 order.
+inline SU3<float> load_su3(const float* src) noexcept {
   SU3<float> u;
   int k = 0;
   for (int i = 0; i < kNumColors; ++i)
     for (int j = 0; j < kNumColors; ++j) {
-      const float re = StorageTraits<S>::load(src[k++]);
-      const float im = StorageTraits<S>::load(src[k++]);
+      const float re = src[k++];
+      const float im = src[k++];
       u.m[i][j] = Complex<float>(re, im);
     }
   return u;
@@ -80,18 +80,32 @@ void store_block(const PackedHermitian6<float>& b, S* dst) noexcept {
   }
 }
 
-template <class S>
-PackedHermitian6<float> load_block(const S* src) noexcept {
+/// Clover block from 36 decoded (float) scalars in store_block order.
+inline PackedHermitian6<float> load_block(const float* src) noexcept {
   PackedHermitian6<float> b;
   int k = 0;
-  for (int i = 0; i < kCloverBlockDim; ++i)
-    b.diag[i] = StorageTraits<S>::load(src[k++]);
+  for (int i = 0; i < kCloverBlockDim; ++i) b.diag[i] = src[k++];
   for (int i = 0; i < kCloverOffDiag; ++i) {
-    const float re = StorageTraits<S>::load(src[k++]);
-    const float im = StorageTraits<S>::load(src[k++]);
+    const float re = src[k++];
+    const float im = src[k++];
     b.offd[i] = Complex<float>(re, im);
   }
   return b;
+}
+
+/// Float view of `count` packed storage scalars. Float storage is read in
+/// place; Half storage is decoded into `dst` (room for `count` floats)
+/// through the runtime-dispatched array converter — F16C or the
+/// bit-identical software path (simd/dispatch.h), never a per-element
+/// software decode.
+inline const float* decode_packed(const float* src, std::int64_t /*count*/,
+                                  float* /*dst*/) noexcept {
+  return src;
+}
+inline const float* decode_packed(const Half* src, std::int64_t count,
+                                  float* dst) {
+  half_to_float(src, dst, count);
+  return dst;
 }
 
 /// The three packed per-domain arrays a Schwarz store protects with

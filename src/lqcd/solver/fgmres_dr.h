@@ -111,10 +111,11 @@ class FgmresDrEngine {
     LQCD_CHECK_MSG(k_ >= 0 && k_ < m_,
                    "need 0 <= deflation_size < basis_size");
 
+    // Basis vectors are allocated when the Arnoldi process first reaches
+    // them (basis()): a solve converging in fewer than basis_size
+    // iterations never pays for the tail, most of the engine's memory.
     v_.resize(static_cast<std::size_t>(m_ + 1));
     z_.resize(static_cast<std::size_t>(m_));
-    for (auto& f : v_) f = FermionField<T>(n_);
-    for (auto& f : z_) f = FermionField<T>(n_);
     w_ = FermionField<T>(n_);
     r_ = FermionField<T>(n_);
     h_ = Matrix(m_ + 1, m_);
@@ -222,7 +223,7 @@ class FgmresDrEngine {
       return;
     }
     h_(j + 1, j) = Cplx(wnorm, 0);
-    copy(w, v_[static_cast<std::size_t>(j + 1)]);
+    copy(w, basis(v_, j + 1));
     scal(static_cast<T>(1.0 / wnorm), v_[static_cast<std::size_t>(j + 1)]);
 
     // Cheap residual estimate from the projected least-squares problem.
@@ -243,8 +244,10 @@ class FgmresDrEngine {
       return;
     }
     ++j_;
-    if (j_ < m_ && stats_.iterations < params_.max_iterations)
+    if (j_ < m_ && stats_.iterations < params_.max_iterations) {
+      basis(z_, j_);
       return;  // pause for the next preconditioner application
+    }
     end_cycle();
   }
 
@@ -328,7 +331,7 @@ class FgmresDrEngine {
     h_ = Matrix(m_ + 1, m_);
     std::fill(c_.begin(), c_.end(), Cplx(0, 0));
     c_[0] = Cplx(rnorm_, 0);
-    copy(r_, v_[0]);
+    copy(r_, basis(v_, 0));
     scal(static_cast<T>(1.0 / rnorm_), v_[0]);
     j0_ = 0;
     deflation_live_ = false;
@@ -346,6 +349,14 @@ class FgmresDrEngine {
     j_ = j0_;
     mcur_ = j0_;
     defective_ = false;
+    basis(z_, j_);
+  }
+
+  /// Basis vector i of `vs` (v_ or z_), allocated zeroed on first use.
+  FermionField<T>& basis(std::vector<FermionField<T>>& vs, int i) {
+    auto& f = vs[static_cast<std::size_t>(i)];
+    if (f.size() != n_) f = FermionField<T>(n_);
+    return f;
   }
 
   void end_cycle() {

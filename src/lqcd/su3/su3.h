@@ -65,18 +65,6 @@ struct SU3 {
   }
 };
 
-/// Flat float view of a single-precision SU(3) matrix: 18 floats,
-/// row-major with interleaved (re,im) — the layout the runtime-dispatched
-/// SIMD kernels (simd/dispatch.h) and the packed storage
-/// (schwarz/storage.h) agree on. Legal because std::complex<float> is
-/// layout-compatible with float[2].
-inline const float* flat(const SU3<float>& u) noexcept {
-  return reinterpret_cast<const float*>(u.m);
-}
-inline float* flat(SU3<float>& u) noexcept {
-  return reinterpret_cast<float*>(u.m);
-}
-
 /// y = U x.
 template <class T>
 inline ColorVector<T> mul(const SU3<T>& u, const ColorVector<T>& x) noexcept {

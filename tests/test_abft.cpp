@@ -336,6 +336,72 @@ TEST(SchwarzAbft, RepackRestoresTheDomainBitIdentically) {
   expect_float_fields_identical(u_ref, u_post);
 }
 
+bool float_fields_differ(const FermionField<float>& a,
+                         const FermionField<float>& b) {
+  for (std::int64_t i = 0; i < a.size(); ++i)
+    for (int sp = 0; sp < kNumSpins; ++sp)
+      for (int c = 0; c < kNumColors; ++c)
+        if (a[i].s[sp].c[c] != b[i].s[sp].c[c]) return true;
+  return false;
+}
+
+// The block solve decodes each domain's fp16 matrices once per visit; no
+// decoded copy may outlive the visit. An apply() BETWEEN the corruption
+// and the repair must see the corrupted packed store, and the apply()
+// after the repair the repaired one — a decoded-block cache kept across
+// applications would fail one of the two. Single RHS and a 4-RHS batch
+// (the lane path) are both covered.
+TEST(SchwarzAbft, HalfStorageReadsThePackedStoreOnEveryApply) {
+  Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 43);
+  SchwarzParams sp;
+  sp.schwarz_iterations = 2;
+  SchwarzPreconditioner<Half> m(f.part, f.op, sp);
+  constexpr int kBatch = 4;
+  std::vector<FermionField<float>> rhs, ref, out;
+  std::vector<const FermionField<float>*> fp;
+  std::vector<FermionField<float>*> ref_p, out_p;
+  for (int b = 0; b < kBatch; ++b) {
+    rhs.emplace_back(f.geom.volume());
+    ref.emplace_back(f.geom.volume());
+    out.emplace_back(f.geom.volume());
+    gaussian(rhs.back(), static_cast<std::uint64_t>(60 + b));
+  }
+  for (int b = 0; b < kBatch; ++b) {
+    const auto bs = static_cast<std::size_t>(b);
+    fp.push_back(&rhs[bs]);
+    ref_p.push_back(&ref[bs]);
+    out_p.push_back(&out[bs]);
+  }
+  FermionField<float> u_ref(f.geom.volume()), u(f.geom.volume());
+  m.apply(rhs[0], u_ref);
+  m.apply_batch(fp, ref_p);
+
+  FaultInjectorConfig fic;
+  fic.fault = FaultClass::kSpinorBitFlip;
+  fic.seed = 11;
+  fic.max_events = 1;
+  FaultInjector inj(fic);
+  ASSERT_TRUE(m.corrupt_packed(inj, 0, PackedComponent::kGaugeLinks));
+  EXPECT_EQ(m.verify_checksums(), 1);
+
+  m.apply(rhs[0], u);
+  EXPECT_TRUE(float_fields_differ(u, u_ref));
+  m.apply_batch(fp, out_p);
+  for (int b = 0; b < kBatch; ++b)
+    EXPECT_TRUE(float_fields_differ(out[static_cast<std::size_t>(b)],
+                                    ref[static_cast<std::size_t>(b)]))
+        << "RHS " << b;
+
+  m.repack_domain(0);
+  EXPECT_EQ(m.verify_checksums(), 0);
+  m.apply(rhs[0], u);
+  expect_float_fields_identical(u_ref, u);
+  m.apply_batch(fp, out_p);
+  for (int b = 0; b < kBatch; ++b)
+    expect_float_fields_identical(ref[static_cast<std::size_t>(b)],
+                                  out[static_cast<std::size_t>(b)]);
+}
+
 TEST(SchwarzAbft, CorruptSourceEscalatesThroughTheGuard) {
   Fixture f({8, 8, 8, 8}, {4, 4, 4, 4}, 0.7, 0.2f, 1.0f, 47);
   SchwarzPreconditioner<float> m(f.part, f.op, SchwarzParams{});

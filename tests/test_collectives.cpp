@@ -6,11 +6,13 @@
 // dslash, and the Schwarz packed-matrix ABFT checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <vector>
 
 #include "lqcd/base/checksum.h"
+#include "lqcd/base/rng.h"
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/knc/work_model.h"
 #include "lqcd/schwarz/schwarz.h"
@@ -83,6 +85,48 @@ TEST(Fletcher32, SplitInvariantAndOddLengths) {
   }
   Fletcher32 empty;
   EXPECT_EQ(empty.value(), 0u);
+}
+
+// Per-word reference: both sums reduced with a true `% 65535` after every
+// 16-bit word, odd tail byte zero-padded.
+std::uint32_t fletcher32_per_word(const unsigned char* p, std::size_t n) {
+  std::uint32_t a = 0, b = 0;
+  for (std::size_t i = 0; i < n; i += 2) {
+    const std::uint32_t w =
+        p[i] | (i + 1 < n ? static_cast<std::uint32_t>(p[i + 1]) << 8 : 0u);
+    a = (a + w) % 65535u;
+    b = (b + a) % 65535u;
+  }
+  return (b << 16) | a;
+}
+
+TEST(Fletcher32, DeferredReductionMatchesPerWordReference) {
+  Rng rng(2024);
+  std::vector<unsigned char> buf(4096);
+  const auto check = [&](std::size_t n, const char* what) {
+    const std::uint32_t ref = fletcher32_per_word(buf.data(), n);
+    EXPECT_EQ(fletcher32_bytes(buf.data(), n), ref) << what << " n=" << n;
+    // Split at an odd offset (leaves a pending byte across the calls) and
+    // again just past a reduction boundary.
+    for (const std::size_t cut : {n / 2 | 1u, std::size_t{719}}) {
+      if (cut > n) continue;
+      Fletcher32 f;
+      f.update(buf.data(), cut);
+      f.update(buf.data() + cut, n - cut);
+      EXPECT_EQ(f.value(), ref) << what << " n=" << n << " cut=" << cut;
+    }
+  };
+  for (std::size_t n = 0; n <= 4096; n += (n < 64 ? 1 : 37 + n % 11)) {
+    for (auto& c : buf) c = static_cast<unsigned char>(rng.next_u64());
+    check(n, "random");
+  }
+  check(4096, "random");
+  // All-0xff words are 65535 == 0 (mod 65535): a fold-style reduction
+  // that leaves 65535 in place instead of 0 fails here.
+  std::fill(buf.begin(), buf.end(), static_cast<unsigned char>(0xff));
+  for (const std::size_t n : {1, 2, 3, 717, 718, 719, 720, 4095, 4096})
+    check(n, "all-0xff");
+  EXPECT_EQ(fletcher32_bytes(buf.data(), 4096), 0u);
 }
 
 TEST(Fletcher32, DetectsEverySingleBitFlip) {
