@@ -5,10 +5,24 @@
 // dot-products / Gram–Schmidt in the outer solver. Reductions accumulate
 // in double regardless of the field precision — the outer solver relies
 // on accurate residual norms.
+//
+// Reduction contract: every floating-point reduction (dot, norm2) goes
+// through blocked_sum, which splits [0, n) into blocks of the fixed
+// compile-time size kReductionBlock, sums each block serially into its
+// own partial inside the OpenMP loop, and adds the partials serially in
+// block order afterwards. The rounding therefore depends only on n, never
+// on the thread count or on the order in which threads finish: the result
+// is bit-identical at every OMP_NUM_THREADS, not only from run to run. (An
+// OpenMP `reduction(+ : ...)` on a double combines per-thread partials in
+// arrival order; from 3 threads up that changes the last bits from run to
+// run.) The blocked order itself differs in the last bits from the old
+// per-thread sum, so results are not bit-identical to builds that used it.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <vector>
 
 #include "lqcd/linalg/fermion_field.h"
 
@@ -87,37 +101,57 @@ void scal(T a, FermionField<T>& x) {
   scal(Complex<T>(a, 0), x);
 }
 
+/// Sites per partial sum in blocked_sum. A compile-time constant, not an
+/// option: the block boundaries fix the rounding, so they must be the
+/// same in every run and at every thread count.
+inline constexpr std::int64_t kReductionBlock = 256;
+
+/// Thread-count-invariant sum over sites [0, n): `add_site(acc, i)` adds
+/// site i's contribution into the block's accumulator. Blocks of
+/// kReductionBlock sites are summed serially in parallel, then their
+/// partials serially in block order (see the reduction contract above).
+template <class Acc, class AddSite>
+Acc blocked_sum(std::int64_t n, const AddSite& add_site) {
+  const std::int64_t nblocks = (n + kReductionBlock - 1) / kReductionBlock;
+  std::vector<Acc> partial(static_cast<std::size_t>(nblocks), Acc{});
+#pragma omp parallel for schedule(static) default(none) \
+    shared(n, nblocks, partial, add_site)
+  for (std::int64_t b = 0; b < nblocks; ++b) {
+    Acc acc{};
+    const std::int64_t end = std::min(n, (b + 1) * kReductionBlock);
+    for (std::int64_t i = b * kReductionBlock; i < end; ++i) add_site(acc, i);
+    partial[static_cast<std::size_t>(b)] = acc;
+  }
+  Acc sum{};
+  for (const Acc& p : partial) sum += p;
+  return sum;
+}
+
 /// <x|y> = sum_i conj(x_i) y_i, accumulated in double.
 template <class T>
 std::complex<double> dot(const FermionField<T>& x, const FermionField<T>& y) {
   LQCD_CHECK(x.size() == y.size());
-  const std::int64_t n = x.size();
-  double re = 0, im = 0;
-#pragma omp parallel for schedule(static) default(none) shared(n, x, y) \
-    reduction(+ : re, im)
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (int sp = 0; sp < kNumSpins; ++sp)
-      for (int c = 0; c < kNumColors; ++c) {
-        const auto& a = x[i].s[sp].c[c];
-        const auto& b = y[i].s[sp].c[c];
-        re += static_cast<double>(a.real()) * b.real() +
-              static_cast<double>(a.imag()) * b.imag();
-        im += static_cast<double>(a.real()) * b.imag() -
-              static_cast<double>(a.imag()) * b.real();
-      }
-  }
-  return {re, im};
+  return blocked_sum<std::complex<double>>(
+      x.size(), [&](std::complex<double>& acc, std::int64_t i) {
+        double re = 0, im = 0;
+        for (int sp = 0; sp < kNumSpins; ++sp)
+          for (int c = 0; c < kNumColors; ++c) {
+            const auto& a = x[i].s[sp].c[c];
+            const auto& b = y[i].s[sp].c[c];
+            re += static_cast<double>(a.real()) * b.real() +
+                  static_cast<double>(a.imag()) * b.imag();
+            im += static_cast<double>(a.real()) * b.imag() -
+                  static_cast<double>(a.imag()) * b.real();
+          }
+        acc += std::complex<double>(re, im);
+      });
 }
 
 /// ||x||^2, accumulated in double.
 template <class T>
 double norm2(const FermionField<T>& x) {
-  const std::int64_t n = x.size();
-  double acc = 0;
-#pragma omp parallel for schedule(static) default(none) shared(n, x) \
-    reduction(+ : acc)
-  for (std::int64_t i = 0; i < n; ++i) acc += norm2(x[i]);
-  return acc;
+  return blocked_sum<double>(
+      x.size(), [&](double& acc, std::int64_t i) { acc += norm2(x[i]); });
 }
 
 template <class T>

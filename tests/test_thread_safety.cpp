@@ -3,12 +3,18 @@
 // FaultInjectorStats / CommStats mergeability, and the end-to-end
 // guarantee that SchwarzPreconditioner and tiled_block_dslash produce
 // EXACTLY the same counters and the same bits at OMP_NUM_THREADS = 1
-// and 4 (no tolerance anywhere — EXPECT_EQ only).
+// and 4 (no tolerance anywhere — EXPECT_EQ only). The same holds for the
+// reduction contract of linalg/blas.h: dot and norm2 (blocked_sum) give
+// the same bits at 1 and 4 threads, and so does a whole DDSolver::solve —
+// residual history and solution — whose global sums and Gram–Schmidt
+// coefficients go through them.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <cstdint>
 #include <vector>
 
+#include "lqcd/core/dd_solver.h"
 #include "lqcd/gauge/gauge_field.h"
 #include "lqcd/schwarz/schwarz.h"
 #include "lqcd/tile/tiled_dslash.h"
@@ -38,8 +44,9 @@ int max_threads() {
 }
 
 /// Field-level EXPECT_EQ: every real component must match bit-for-bit.
-void expect_fields_identical(const FermionField<float>& a,
-                             const FermionField<float>& b) {
+template <class T>
+void expect_fields_identical(const FermionField<T>& a,
+                             const FermionField<T>& b) {
   ASSERT_EQ(a.size(), b.size());
   std::int64_t mismatches = 0;
   for (std::int64_t i = 0; i < a.size(); ++i)
@@ -400,6 +407,72 @@ TEST(ThreadSafety, TiledDslashCountersAndBitsAreThreadInvariant) {
   EXPECT_EQ(stats[0].events_at(FaultSite::kTileDslash), 1);
   expect_injector_stats_equal(stats[0], stats[1]);
   expect_fields_identical(outs[0], outs[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Reductions and the outer solve vs OMP_NUM_THREADS
+// ---------------------------------------------------------------------------
+
+TEST(ThreadSafety, DotAndNorm2AreThreadCountInvariant) {
+  // Several full reduction blocks plus a partial last one.
+  const std::int64_t n = 5 * kReductionBlock + 37;
+  FermionField<double> xd(n), yd(n);
+  gaussian(xd, 701);
+  gaussian(yd, 702);
+  FermionField<float> xf(n), yf(n);
+  convert(xd, xf);
+  convert(yd, yf);
+
+  std::vector<std::complex<double>> dots, dots_f;
+  std::vector<double> norms, norms_f;
+  for (const int nthreads : {1, 4}) {
+    set_threads(nthreads);
+    dots.push_back(dot(xd, yd));
+    norms.push_back(norm2(xd));
+    dots_f.push_back(dot(xf, yf));
+    norms_f.push_back(norm2(yf));
+  }
+  set_threads(1);
+  EXPECT_EQ(dots[0].real(), dots[1].real());
+  EXPECT_EQ(dots[0].imag(), dots[1].imag());
+  EXPECT_EQ(norms[0], norms[1]);
+  EXPECT_EQ(dots_f[0].real(), dots_f[1].real());
+  EXPECT_EQ(dots_f[0].imag(), dots_f[1].imag());
+  EXPECT_EQ(norms_f[0], norms_f[1]);
+}
+
+TEST(ThreadSafety, DDSolveHistoryAndBitsAreThreadCountInvariant) {
+  const Geometry geom({8, 8, 8, 8});
+  auto gauge = random_gauge_field<double>(geom, 0.7, 721);
+  gauge.make_time_antiperiodic();
+  FermionField<double> b(geom.volume());
+  gaussian(b, 722);
+  DDSolverConfig cfg;
+  cfg.block = {4, 4, 4, 4};
+  cfg.basis_size = 6;
+  cfg.deflation_size = 3;
+  cfg.schwarz_iterations = 2;
+  cfg.block_mr_iterations = 3;
+  cfg.tolerance = 1e-10;
+
+  std::vector<SolverStats> stats;
+  std::vector<FermionField<double>> xs;
+  for (const int nthreads : {1, 4}) {
+    set_threads(nthreads);
+    DDSolver solver(geom, gauge, 0.1, 1.0, cfg);
+    FermionField<double> x(geom.volume());
+    stats.push_back(solver.solve(b, x));
+    xs.push_back(std::move(x));
+  }
+  set_threads(1);
+  EXPECT_TRUE(stats[0].converged);
+  EXPECT_GT(stats[0].iterations, 1);
+  EXPECT_EQ(stats[0].iterations, stats[1].iterations);
+  EXPECT_EQ(stats[0].global_sum_events, stats[1].global_sum_events);
+  EXPECT_EQ(stats[0].residual_history, stats[1].residual_history);
+  EXPECT_EQ(stats[0].final_relative_residual,
+            stats[1].final_relative_residual);
+  expect_fields_identical(xs[0], xs[1]);
 }
 
 }  // namespace

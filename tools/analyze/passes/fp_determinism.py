@@ -18,6 +18,15 @@ phase_madd inherit the caller's contract) flagging explicit FMA. When
 a bit-exact TU lacks -ffp-contract=off, FMA-contractible `a*b+c`
 expressions inside its bit-exact kernels are reported too — those are
 the exact sites the compiler would silently fuse.
+
+The same pass enforces the reduction contract (linalg/blas.h): an
+OpenMP `reduction(+ : v)` (or `-`/`*`) on a float/double/complex `v` is
+a finding, because the runtime combines the per-thread partials in the
+order threads arrive and floating-point addition is not associative —
+from 3 threads up the last bits change from run to run. Such sums go
+through blocked_sum instead. Integer reductions are exact and stay
+silent, as do min/max (order-independent). The variable's type is read
+from its nearest declaration in the enclosing function.
 """
 
 from __future__ import annotations
@@ -43,6 +52,56 @@ _EXPLICIT_FMA_RE = re.compile(
 _CONTRACTIBLE_RE = re.compile(
     r"[\w\]\)]\s*\*\s*[\w\(\[][^;]*?[+\-]|[+\-][^;]*?[\w\]\)]\s*\*\s*"
     r"[\w\(\[]")
+
+_REDUCTION_RE = re.compile(r"\breduction\s*\(\s*([+*-])\s*:\s*([^)]*)\)")
+_FLOAT_TYPE = (r"(?:long\s+)?double|float|(?:std\s*::\s*)?complex\s*<[^;{}]*?>|"
+               r"Complex\s*<[^;{}]*?>")
+_OTHER_TYPE = (r"(?:unsigned\s+|signed\s+)?(?:long\s+long|long|int|short|"
+               r"char)|bool|auto|(?:std\s*::\s*)?(?:u?int\d+_t|size_t|"
+               r"ptrdiff_t)")
+
+
+def _decl_re(types: str, var: str) -> re.Pattern:
+    """`<type> [&*] [a = .., b = .., ] var` followed by = ; , ) [ or {."""
+    return re.compile(
+        rf"(?<![\w:])(?:{types})\s*[&*]?\s+(?:[^;(){{}}]*?,\s*)?"
+        rf"\b{re.escape(var)}\b\s*(?=[=;,)\[{{])")
+
+
+def _last_match(pattern: re.Pattern, text: str) -> int:
+    pos = -1
+    for m in pattern.finditer(text):
+        pos = m.start()
+    return pos
+
+
+def _fp_reductions(model) -> list[Finding]:
+    """OpenMP `reduction(+|-|* : ...)` clauses on floating-point
+    variables."""
+    findings: list[Finding] = []
+    for sf in model.files.values():
+        for d in sf.directives:
+            fp_vars = []
+            for m in _REDUCTION_RE.finditer(d.text):
+                start = max((fn.line for fn in model.functions
+                             if fn.path == sf.path
+                             and fn.line <= d.line <= fn.body[1]),
+                            default=1)
+                text = "\n".join(sf.lines[start - 1:d.line - 1])
+                for var in (v.strip() for v in m.group(2).split(",")):
+                    if not re.fullmatch(r"[A-Za-z_]\w*", var):
+                        continue
+                    if _last_match(_decl_re(_FLOAT_TYPE, var), text) > \
+                            _last_match(_decl_re(_OTHER_TYPE, var), text):
+                        fp_vars.append(f"{m.group(1)}:{var}")
+            if fp_vars:
+                findings.append(Finding(
+                    "fp-determinism", d.path, d.line,
+                    f"OpenMP floating-point reduction ({', '.join(fp_vars)})"
+                    " — the runtime combines per-thread partials in "
+                    "arrival order, so the last bits depend on thread "
+                    "count and timing; use blocked_sum (linalg/blas.h)"))
+    return findings
 
 
 def _include_closure(model, tu: Path) -> set[Path]:
@@ -143,6 +202,8 @@ def run(model, options) -> list[Finding]:
                             f"FMA-contractible a*b+c in '{fn.qual}' while "
                             f"its TU {tu.name} lacks -ffp-contract=off — "
                             "the compiler is free to fuse this"))
+
+    findings.extend(_fp_reductions(model))
 
     # De-duplicate across TUs sharing headers.
     uniq: dict[tuple, Finding] = {}
